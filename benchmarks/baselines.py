@@ -3,11 +3,12 @@
 Both ``check_regression.py`` (BENCH speedups) and ``check_quality.py``
 (QUALITY detection metrics) compare freshly written JSON reports against
 the last *committed* copy of the same file.  The committed copy comes
-from ``git show HEAD:benchmarks/<name>`` by default — the working-tree
-copy has just been overwritten by the run under test — or from a
-directory of snapshot copies taken before the run (the CI lanes snapshot
+from ``git show HEAD:benchmarks/<name>`` by default, or from a directory
+of snapshot copies taken before the run (the CI lanes snapshot
 ``benchmarks/`` into ``$RUNNER_TEMP`` first, so a re-run on a dirty tree
-still compares against the accepted numbers).
+still compares against the accepted numbers).  Benchmark runs never write
+the committed ``BENCH_*.json`` files: their fresh reports go to
+:data:`OUT_DIR`, which git ignores.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import subprocess
 from pathlib import Path
 
 BENCH_DIR = Path(__file__).parent
+#: Where benchmark runs write their fresh ``BENCH_*.json`` reports.
+OUT_DIR = BENCH_DIR / "out"
 
 
 def committed_baseline(name: str) -> dict | None:

@@ -1,16 +1,15 @@
 #!/usr/bin/env python
 """Fail CI when a freshly measured benchmark ratio regresses >25%.
 
-Every throughput benchmark writes a ``BENCH_*.json`` next to this script
-with a ``speedup`` field (vectorized/sharded path vs. its scalar
-reference).  Those files are committed, so the repository always carries
-the last accepted numbers; after the slow lane re-runs the benchmarks,
-this script compares each freshly written ratio against the committed
-baseline and exits non-zero if any dropped by more than
+Every throughput benchmark writes a fresh ``BENCH_*.json`` with a
+``speedup`` field (vectorized/sharded path vs. its scalar reference) into
+``benchmarks/out/``, which git ignores.  The committed copies next to this
+script carry the last accepted numbers; after the slow lane re-runs the
+benchmarks, this script compares each fresh ratio in ``out/`` against the
+committed baseline and exits non-zero if any dropped by more than
 ``MAX_REGRESSION`` (25%).
 
-Baselines come from ``git show HEAD:benchmarks/<name>`` by default (the
-working-tree copies have just been overwritten by the benchmark run);
+Baselines come from ``git show HEAD:benchmarks/<name>`` by default;
 ``--baseline-dir`` points at a directory of snapshot copies instead.
 
 On hosts with fewer than 4 CPUs the whole gate is *skipped, loudly*:
@@ -27,7 +26,8 @@ import os
 import sys
 from pathlib import Path
 
-from baselines import BENCH_DIR, load_baseline
+from baselines import OUT_DIR, load_baseline
+
 #: File -> field holding the pinned ratio.
 RATIO_FIELDS = {
     "BENCH_runner.json": "speedup",
@@ -88,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
 
     failures = []
     for name, field in RATIO_FIELDS.items():
-        fresh_path = BENCH_DIR / name
+        fresh_path = OUT_DIR / name
         if not fresh_path.is_file():
             print(f"{name}: SKIP (no fresh file written by this benchmark run)")
             continue

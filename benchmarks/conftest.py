@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from baselines import OUT_DIR
 from repro.obs.metrics import get_registry
 from repro.core.pipeline import CampaignConfig, EncoreDeployment
 from repro.core.targets import TargetList
@@ -106,7 +107,12 @@ def bench_rng() -> np.random.Generator:
 
 @pytest.fixture()
 def bench_report_writer():
-    """Write a ``BENCH_*.json``, folding in MetricsRegistry telemetry.
+    """Write a fresh ``BENCH_*.json``, folding in MetricsRegistry telemetry.
+
+    The report lands in ``benchmarks/out/`` under the file name of the
+    ``path`` given, never over the committed baseline of that name, so a
+    test run leaves the tracked files untouched; ``check_regression.py``
+    compares ``out/`` against the committed copies.
 
     Every benchmark report gains a ``telemetry`` section recording the
     process's peak RSS and the rows-per-second achieved by the timed run,
@@ -132,7 +138,8 @@ def bench_report_writer():
         if seconds and seconds > 0:
             telemetry["rows_per_sec"] = round(rows / seconds, 1)
         report["telemetry"] = telemetry
-        path.write_text(json.dumps(report, indent=2) + "\n")
+        OUT_DIR.mkdir(exist_ok=True)
+        (OUT_DIR / Path(path).name).write_text(json.dumps(report, indent=2) + "\n")
         return report
 
     return write

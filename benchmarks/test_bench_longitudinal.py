@@ -26,8 +26,8 @@ import numpy as np
 import pytest
 
 from repro.core.inference import CusumChangePointDetector
-from repro.core.query import grouped_success_counts
-from repro.core.store import DayGroupedCounts, DictColumn, MeasurementStore
+from repro.core.query import DAY_SERIES_KEYS, QueryResult, grouped_success_counts
+from repro.core.store import DictColumn, MeasurementStore
 from repro.core.tasks import TaskOutcome, TaskType
 from repro.web.url import URL
 
@@ -116,7 +116,7 @@ def run_row_path(rows):
         if m.succeeded:
             successes[key] = successes.get(key, 0) + 1
     counts = {key: (n, successes.get(key, 0)) for key, n in totals.items()}
-    day_counts = DayGroupedCounts.from_dict(counts, n_days=DAYS)
+    day_counts = QueryResult.from_dict(counts, DAY_SERIES_KEYS, n_days=DAYS)
     t1 = time.perf_counter()
     events = detector().detect_events_reference(day_counts)
     t2 = time.perf_counter()

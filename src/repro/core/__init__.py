@@ -32,7 +32,7 @@ from repro.core.task_generation import (
 from repro.core.scheduler import Scheduler, TaskPool
 from repro.core.coordination import CoordinationServer
 from repro.core.collection import CollectionServer, Measurement
-from repro.core.store import DayGroupedCounts, GroupedCounts, MeasurementStore, Selection
+from repro.core.store import MeasurementStore, Selection
 from repro.core.query import (
     Count,
     DenseResult,
@@ -42,7 +42,6 @@ from repro.core.query import (
     QueryResult,
     SuccessCount,
     Sum,
-    TimingDaySeries,
     dense_day_series,
     distinct_ip_count,
     grouped_success_counts,
@@ -106,8 +105,6 @@ __all__ = [
     "CollectionServer",
     "Measurement",
     "MeasurementStore",
-    "DayGroupedCounts",
-    "GroupedCounts",
     "Selection",
     "Count",
     "DenseResult",
@@ -117,7 +114,6 @@ __all__ = [
     "QueryResult",
     "SuccessCount",
     "Sum",
-    "TimingDaySeries",
     "dense_day_series",
     "distinct_ip_count",
     "grouped_success_counts",

@@ -10,12 +10,12 @@ observed success count is improbably low at significance 0.05 — *and* the
 same test does not fail in other regions, which rules out the resource simply
 being down for everyone.
 
-The detector consumes the grouped cell arrays of
-:class:`~repro.core.store.GroupedCounts` (what the query kernel's
-``grouped_success_counts`` returns) and evaluates the binomial
-lower tail for *every* (domain, country) cell in one vectorized, SciPy-free
-pass over a ragged term matrix; the legacy ``{(domain, country): (n, s)}``
-dict is still accepted everywhere and converted on entry.
+The detector consumes the query kernel's per-(domain, country) cells (a
+:class:`~repro.core.query.QueryResult` with ``count`` and ``success_count``
+values, what ``grouped_success_counts`` returns) and evaluates the binomial
+lower tail for *every* cell in one vectorized, SciPy-free pass over a
+ragged term matrix; a ``{(domain, country): (n, s)}`` mapping is accepted
+too and converted on entry with :meth:`QueryResult.from_dict`.
 """
 
 from __future__ import annotations
@@ -29,12 +29,8 @@ from typing import Iterable
 import numpy as np
 
 from repro.core.collection import Measurement
-from repro.core.store import (
-    DayGroupedCounts,
-    DenseDayCounts,
-    GroupedCounts,
-    MeasurementStore,
-)
+from repro.core.query import DenseResult, QueryResult, grouped_success_counts
+from repro.core.store import MeasurementStore
 from repro.core.tasks import TaskOutcome
 from repro.obs.metrics import get_registry
 
@@ -188,8 +184,20 @@ class DetectionReport:
         return {(d.domain, d.country_code) for d in self.detections}
 
 
-def _as_grouped(counts) -> GroupedCounts:
-    return counts if isinstance(counts, GroupedCounts) else GroupedCounts.from_dict(counts)
+def _count_cells(counts) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(domains, countries, totals, successes)`` of per-(domain, country) counts.
+
+    ``counts`` is a kernel :class:`~repro.core.query.QueryResult` or a
+    ``{(domain, country): (n, successes)}`` mapping.
+    """
+    if not isinstance(counts, QueryResult):
+        counts = QueryResult.from_dict(counts)
+    return (
+        counts.key("domain"),
+        counts.key("country"),
+        counts.value("count"),
+        counts.value("success_count"),
+    )
 
 
 class BinomialFilteringDetector:
@@ -222,17 +230,18 @@ class BinomialFilteringDetector:
         """Per-cell success prior; the adaptive subclass overrides this."""
         return np.full(len(totals), self.success_prior)
 
-    def _scored_cells(self, grouped: GroupedCounts):
+    def _scored_cells(self, counts):
         """(domains, countries, n, successes, priors, p_values) for scored cells.
 
         Cells below ``min_measurements`` are dropped; the rest are scored
         with one vectorized binomial-tail evaluation.
         """
-        keep = grouped.totals >= self.min_measurements
-        domains = grouped.domains[keep]
-        countries = grouped.countries[keep]
-        totals = grouped.totals[keep]
-        successes = grouped.successes[keep]
+        domains, countries, totals, successes = _count_cells(counts)
+        keep = totals >= self.min_measurements
+        domains = domains[keep]
+        countries = countries[keep]
+        totals = totals[keep]
+        successes = successes[keep]
         priors = np.asarray(
             self._cell_priors(domains, countries, totals, successes), dtype=np.float64
         )
@@ -255,16 +264,13 @@ class BinomialFilteringDetector:
         ]
 
     def region_statistics(self, counts) -> list[RegionStatistics]:
-        """Per-region statistics from grouped cells (or the legacy dict)."""
-        domains, countries, totals, successes, _, p_values = self._scored_cells(
-            _as_grouped(counts)
-        )
+        """Per-region statistics from (domain, country) cells or a mapping."""
+        domains, countries, totals, successes, _, p_values = self._scored_cells(counts)
         return self._statistics_from_cells(domains, countries, totals, successes, p_values)
 
     def detect_from_counts(self, counts) -> DetectionReport:
-        """Run the test over per-region counts (grouped arrays or legacy dict)."""
-        grouped = _as_grouped(counts)
-        domains, countries, totals, successes, priors, p_values = self._scored_cells(grouped)
+        """Run the test over per-region counts (kernel cells or a mapping)."""
+        domains, countries, totals, successes, priors, p_values = self._scored_cells(counts)
         stats = self._statistics_from_cells(domains, countries, totals, successes, p_values)
         report = DetectionReport(statistics=stats)
         if not stats:
@@ -304,20 +310,11 @@ class BinomialFilteringDetector:
         """Run the test over everything a collection server has gathered.
 
         Accepts a bare :class:`~repro.core.store.MeasurementStore` too (the
-        adversarial sweep scores poisoned stores directly) and prefers the
-        store's grouped-array counts (no intermediate dict); anything
-        exposing the legacy ``success_counts()`` dict still works.
+        adversarial sweep scores poisoned stores directly); either way the
+        store's kernel cells feed the test, with no intermediate dict.
         """
-        store = (
-            collection
-            if isinstance(collection, MeasurementStore)
-            else getattr(collection, "store", None)
-        )
-        if store is not None:
-            from repro.core.query import grouped_success_counts
-
-            return self.detect_from_counts(grouped_success_counts(store))
-        return self.detect_from_counts(collection.success_counts())
+        store = collection if isinstance(collection, MeasurementStore) else collection.store
+        return self.detect_from_counts(grouped_success_counts(store))
 
     def detect_from_measurements(self, measurements: Iterable[Measurement]) -> DetectionReport:
         """Run the test over an explicit list of measurements."""
@@ -453,8 +450,9 @@ class CusumState:
 class CusumChangePointDetector:
     """Online CUSUM over per-day filtered success rates (longitudinal §7.2).
 
-    For every (domain, country) cell of a :class:`DayGroupedCounts`, the
-    detector walks the day axis with a two-state machine.  While *clear*, it
+    For every (domain, country) pair of a ``(domain, country, day)`` count
+    query's :meth:`~repro.core.query.QueryResult.cell_series`, the detector
+    walks the day axis with a two-state machine.  While *clear*, it
     accumulates the one-sided CUSUM statistic ``S ← max(0, S + (healthy_rate
     − drift − rate_d))`` — evidence the daily success rate fell below the
     healthy baseline — and emits an **onset** when ``S`` crosses
@@ -558,7 +556,7 @@ class CusumChangePointDetector:
 
     def detect_events(
         self,
-        day_counts: DayGroupedCounts,
+        day_counts: QueryResult | DenseResult,
         baselines: dict[str, float] | None = None,
     ) -> list[CensorshipEvent]:
         """Scan every (domain, country) cell's day series, vectorized.
@@ -569,16 +567,17 @@ class CusumChangePointDetector:
         return self.resume(self.initial_state(baselines), day_counts)
 
     def resume(
-        self, state: CusumState, day_counts: "DayGroupedCounts | DenseDayCounts"
+        self, state: CusumState, day_counts: QueryResult | DenseResult
     ) -> list[CensorshipEvent]:
         """Advance ``state`` over the day columns it has not consumed yet.
 
         ``day_counts`` is the cumulative corpus (its day axis keeps growing
-        as epochs append) — either ragged :class:`DayGroupedCounts` or the
-        monitor loop's dense ``repro.core.query.dense_day_series()``
-        result; anything with ``n_days`` and ``cell_series()`` works, and
-        both representations yield bit-identical events.  Only columns
-        ``state.days_processed .. day_counts.n_days - 1`` are scanned, so
+        as epochs append) — the ragged cells of
+        ``grouped_success_counts(store, by_day=True)`` or the monitor loop's
+        dense ``dense_day_series(store)``; anything whose ``cell_series()``
+        yields ``(domains, countries, totals, successes)`` works, and both
+        shapes yield bit-identical events.  Only the day columns from
+        ``state.days_processed`` to the matrices' width are scanned, so
         per-call cost is proportional to the *new* days, not history.  The
         recursion is sequential in days but independent across cells: all
         cells advance by whole-array operations per day column, and only
@@ -592,7 +591,7 @@ class CusumChangePointDetector:
         start = state.days_processed
         events: list[CensorshipEvent] = []
         if n_cells == 0 or start >= n_days:
-            state.days_processed = max(state.days_processed, day_counts.n_days)
+            state.days_processed = max(start, n_days)
             return events
         get_registry().counter("cusum.cells_scanned").add(n_cells * (n_days - start))
         pairs = list(zip(domains.tolist(), countries.tolist()))
@@ -647,7 +646,7 @@ class CusumChangePointDetector:
 
     def detect_events_reference(
         self,
-        day_counts: DayGroupedCounts,
+        day_counts: QueryResult | DenseResult,
         baselines: dict[str, float] | None = None,
     ) -> list[CensorshipEvent]:
         """The scalar per-cell reference walk; events identical to the fast path."""
@@ -695,9 +694,8 @@ class TimingCusumDetector:
     see: a throttled exchange still *completes*, just slowly (§1's subtle
     filtering; ``THROTTLE_FACTOR`` stretches the transfer time), so
     :class:`CusumChangePointDetector` scanning success rates stays silent.
-    This detector scans the timing side of the same corpus: a
-    :class:`~repro.core.query.TimingDaySeries` of per-(domain, country)
-    daily ``elapsed_ms`` quantiles, produced by the query kernel
+    This detector scans the timing side of the same corpus: per-(domain,
+    country) daily ``elapsed_ms`` quantiles, produced by the query kernel
     (:func:`repro.core.query.timing_day_series`).
 
     Each cell seeds its own healthy baseline — the median of its qualifying
@@ -789,10 +787,11 @@ class TimingCusumDetector:
     def detect_events(self, timing_series) -> list[CensorshipEvent]:
         """Scan every (domain, country) cell's daily quantile series, vectorized.
 
-        ``timing_series`` is a :class:`~repro.core.query.TimingDaySeries`
-        (anything with ``cell_series()`` returning ``(domains, countries,
-        counts, values)`` matrices works).  Sequential in days, whole-array
-        per day column; only threshold crossings drop to per-cell Python.
+        ``timing_series`` is a :func:`repro.core.query.timing_day_series`
+        result (anything with ``cell_series()`` returning ``(domains,
+        countries, counts, values)`` matrices works).  Sequential in days,
+        whole-array per day column; only threshold crossings drop to
+        per-cell Python.
         """
         domains, countries, counts, values = timing_series.cell_series()
         n_cells, n_days = counts.shape
@@ -925,11 +924,9 @@ class AdaptiveFilteringDetector(BinomialFilteringDetector):
         and network flakiness lowers it for every domain equally), discounted
         and clamped to the configured bounds.
         """
-        grouped = _as_grouped(counts)
-        keep = grouped.totals >= self.min_measurements
-        best = self._best_rates(
-            grouped.countries[keep], grouped.totals[keep], grouped.successes[keep]
-        )
+        _, countries, totals, successes = _count_cells(counts)
+        keep = totals >= self.min_measurements
+        best = self._best_rates(countries[keep], totals[keep], successes[keep])
         return {
             country: float(min(self.max_prior, max(self.min_prior, rate * self.discount)))
             for country, rate in best.items()

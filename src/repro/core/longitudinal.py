@@ -21,8 +21,9 @@ sequence of **epochs** over simulated days:
    ingest into one (possibly spilled) collection store.
 3. **Aggregate.**  The query kernel
    (:func:`repro.core.query.grouped_success_counts` ``by_day=True``)
-   reduces the whole corpus to ragged (domain, country, day) cells —
-   streamed segment-by-segment, fully vectorized, nothing concatenated.
+   reduces the whole corpus to (domain, country, day) cells — streamed
+   segment-by-segment, fully vectorized, nothing concatenated — whose
+   ``cell_series()`` view gives per-pair day matrices.
 4. **Detect.**  :class:`~repro.core.inference.CusumChangePointDetector`
    scans every cell's daily success-rate series online and emits
    :class:`~repro.core.inference.CensorshipEvent` onsets/offsets with their
@@ -37,8 +38,8 @@ sequence of **epochs** over simulated days:
 **Always-on monitoring.**  With ``LongitudinalConfig.checkpoint_dir`` set,
 the run becomes an incremental, killable monitor loop.  Per epoch the engine
 seals the store's pending rows and folds only the *new* segments into the
-persistent day-bucketed aggregate (``MeasurementStore.success_counts`` keeps
-a fold watermark), advances a resumable
+persistent day-bucketed aggregate (the query kernel keeps a fold watermark
+behind :func:`repro.core.query.dense_day_series`), advances a resumable
 :class:`~repro.core.inference.CusumState` over only the new day columns, and
 checkpoints that state to ``checkpoint_dir/cusum-state.json`` — so per-epoch
 cost stays flat as history grows (``benchmarks/test_bench_monitor.py``,
@@ -75,12 +76,11 @@ from repro.core.inference import (
     TimingCusumDetector,
 )
 from repro.core.query import (
-    TimingDaySeries,
+    QueryResult,
     dense_day_series,
     grouped_success_counts,
     timing_day_series,
 )
-from repro.core.store import DayGroupedCounts
 from repro.obs.metrics import get_registry
 from repro.obs.trace import NULL_TRACER, TRACE_FILENAME, Tracer
 
@@ -205,8 +205,8 @@ class LongitudinalResult:
     def measurements(self) -> int:
         return sum(epoch.measurements_added for epoch in self.epochs)
 
-    def day_counts(self) -> DayGroupedCounts:
-        """Ragged (domain, country, day) success counts over the whole run.
+    def day_counts(self) -> QueryResult:
+        """(domain, country, day) success counts over the whole run.
 
         Streamed straight off the (possibly spilled) store via the query
         kernel; cached there, so repeated calls are free until the store
@@ -214,12 +214,12 @@ class LongitudinalResult:
         """
         return grouped_success_counts(self.collection.store, by_day=True)
 
-    def timing_series(self) -> TimingDaySeries:
-        """Per-(domain, country) day matrices of the configured timing quantile.
+    def timing_series(self) -> QueryResult:
+        """Per-(domain, country, day) cells of the configured timing quantile.
 
         The query kernel's ``Quantiles("elapsed_ms", ...)`` aggregate over
-        the same grouping as :meth:`day_counts` — what the timing detector
-        scans.  Cached on the store per version.
+        the same grouping as :meth:`day_counts`; its ``cell_series()`` is
+        what the timing detector scans.  Cached on the store per version.
         """
         return timing_day_series(
             self.collection.store, quantile=self.config.timing_quantile

@@ -1,10 +1,10 @@
 """One group-by kernel behind every store reduction.
 
-`MeasurementStore` had accreted bespoke segment-streaming reductions —
-``success_counts`` (and its ``by_day=True`` variant), ``masked_success_counts``,
-``success_day_series``, ``distinct_ips`` — each hand-rolling the same
-bincount-over-segments pattern.  This module is the one engine they all sit
-on now, and the door to dimensions and aggregates none of them could express:
+Every analysis the reproduction runs — the §7.2 binomial test, the
+longitudinal CUSUM monitors, the reputation filter's re-detection — groups
+measurements by (domain, country[, day]) and takes totals, successes or a
+timing quantile.  This module is the one engine they all sit on, and the
+door to dimensions and aggregates beyond those:
 
 * **Composable keys.**  Any subset of the dictionary-encoded / small-domain
   columns — ``domain``, ``country``, ``day``, ``isp``, ``family``, ``task`` —
@@ -24,17 +24,20 @@ on now, and the door to dimensions and aggregates none of them could express:
   (``_QueryFoldState``): each sealed segment is folded exactly once over the
   store's lifetime, pending chunks only ever touch a per-call snapshot, so
   an always-on monitor's per-epoch aggregation cost tracks the *new* rows.
-  This is the PR 6 contract, now owned by the kernel and shared by every
-  foldable query with the same signature.
+* **Two result shapes.**  :class:`QueryResult` holds one row per non-empty
+  group; :class:`DenseResult` holds full key-space accumulator arrays.  For
+  a ``(domain, country, day)`` query both offer the same ``cell_series()``
+  view — per-pair day matrices — which is what the change-point detectors
+  scan.
 
-The legacy reductions are thin wrappers over :meth:`MeasurementStore.query`
-(kept as deprecation shims on the store), pinned row-identical to their
-pre-refactor outputs by equivalence tests; ``repro-lint``'s
-``segment-streaming`` rule keeps new hand-rolled segment loops from growing
+The named wrappers at the bottom (:func:`grouped_success_counts`,
+:func:`dense_day_series`, :func:`timing_day_series`, ...) are the query
+shapes the rest of the package asks for; ``repro-lint``'s
+``segment-streaming`` rule keeps hand-rolled segment loops from growing
 back outside this module.
 
 Telemetry follows the observer-effect ban: the kernel bumps write-only
-counters (``store.query_folds`` and the PR 6 ``store.fold_advances`` /
+counters (``store.query_folds``, ``store.fold_advances`` and
 ``store.segments_folded``) and opens per-aggregate spans only on the tracer
 it is handed — ``NULL_TRACER`` unless a caller opts in.
 """
@@ -47,14 +50,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.store import (
-    OUTCOME_INCONCLUSIVE,
-    OUTCOME_SUCCESS,
-    TASK_TYPES,
-    DayGroupedCounts,
-    DenseDayCounts,
-    GroupedCounts,
-)
+from repro.core.store import OUTCOME_INCONCLUSIVE, OUTCOME_SUCCESS, TASK_TYPES
 from repro.obs.metrics import get_registry
 from repro.obs.trace import NULL_TRACER
 
@@ -199,8 +195,7 @@ class DistinctCount(Aggregate):
 
     Streamed with per-segment deduplication: each segment contributes only
     its unique (group, value) pairs, so distinct-counting a spilled store's
-    ``client_ip`` never concatenates the full string column — the invariant
-    the legacy ``distinct_ips`` kept.
+    ``client_ip`` never concatenates the full string column.
     """
 
     def __init__(self, column: str) -> None:
@@ -222,11 +217,31 @@ class DistinctCount(Aggregate):
 # ----------------------------------------------------------------------
 # Results
 # ----------------------------------------------------------------------
+#: The key layout :meth:`QueryResult.cell_series` and
+#: :meth:`DenseResult.cell_series` turn into per-pair day matrices.
+DAY_SERIES_KEYS = ("domain", "country", "day")
+
+
+def _require_day_series(key_names: tuple[str, ...]) -> None:
+    if key_names != DAY_SERIES_KEYS:
+        raise ValueError(
+            f"cell_series() needs keys {DAY_SERIES_KEYS}, not {key_names}"
+        )
+
+
+def _find_value(aggregates, values, aggregate) -> np.ndarray:
+    if isinstance(aggregate, int):
+        return values[aggregate]
+    for spec, column in zip(aggregates, values):
+        if spec == aggregate or spec.name == aggregate:
+            return column
+    raise KeyError(f"no aggregate {aggregate!r} in this result")
+
+
 class QueryResult:
     """Per-group aggregate values, one row per non-empty group.
 
-    Groups are sorted by their decoded key tuple in declared key order (the
-    same ``(domain, country[, day])`` order the legacy reductions used).
+    Groups are sorted by their decoded key tuple in declared key order.
     ``keys[name]`` are the decoded key arrays, ``values[i]`` lines up with
     ``aggregates[i]`` (a ``(groups, len(qs))`` matrix for
     :class:`Quantiles`, a 1-D array otherwise), and ``extents[name]`` is the
@@ -258,12 +273,7 @@ class QueryResult:
 
     def value(self, aggregate: "Aggregate | str | int") -> np.ndarray:
         """The value array for one aggregate (by spec, name, or position)."""
-        if isinstance(aggregate, int):
-            return self.values[aggregate]
-        for spec, column in zip(self.aggregates, self.values):
-            if spec == aggregate or spec.name == aggregate:
-                return column
-        raise KeyError(f"no aggregate {aggregate!r} in this result")
+        return _find_value(self.aggregates, self.values, aggregate)
 
     def as_dict(self) -> dict[tuple, tuple]:
         """``{key_tuple: value_tuple}`` with plain Python scalars.
@@ -284,18 +294,101 @@ class QueryResult:
             out[group] = tuple(row)
         return out
 
+    @classmethod
+    def from_dict(
+        cls,
+        groups: dict[tuple, tuple],
+        keys: Sequence[str] = ("domain", "country"),
+        aggregates: Sequence[Aggregate] = (Count(), SuccessCount()),
+        *,
+        n_days: int | None = None,
+    ) -> "QueryResult":
+        """The inverse of :meth:`as_dict`: a result built from a group mapping.
+
+        ``n_days`` may widen the ``day`` axis beyond the data (trailing
+        empty days) but never truncate it — a too-small value would make
+        :meth:`cell_series` index past its matrices, so it is rejected.
+        """
+        keys = tuple(keys)
+        aggregates = tuple(aggregates)
+        items = sorted(groups.items())
+        key_arrays = {
+            name: np.asarray(
+                [group[axis] for group, _ in items],
+                dtype=np.int64 if name == "day" else np.str_,
+            )
+            for axis, name in enumerate(keys)
+        }
+        values = []
+        for index, spec in enumerate(aggregates):
+            column = [row[index] for _, row in items]
+            if isinstance(spec, Quantiles):
+                values.append(
+                    np.asarray(column, dtype=np.float64).reshape(len(items), len(spec.qs))
+                )
+            else:
+                values.append(
+                    np.asarray(column, dtype=np.float64 if isinstance(spec, Sum) else np.int64)
+                )
+        extents = {
+            name: int(array.max()) + 1 if name == "day" and len(array)
+            else len(np.unique(array))
+            for name, array in key_arrays.items()
+        }
+        if n_days is not None:
+            if n_days < extents.get("day", 0):
+                raise ValueError(
+                    f"n_days={n_days} cannot cover days up to {extents['day'] - 1}"
+                )
+            extents["day"] = n_days
+        return cls(keys, key_arrays, aggregates, tuple(values), extents)
+
+    def cell_series(self) -> tuple[np.ndarray, ...]:
+        """Dense per-pair day matrices: ``(domains, countries, *matrices)``.
+
+        The first two arrays name the ``C`` distinct (domain, country) pairs
+        in sorted order; then comes one ``(C, n_days)`` matrix per aggregate
+        (one per requested quantile for :class:`Quantiles`), zero where a
+        pair has no rows on a day — NaN for quantiles.  This is the layout
+        the vectorized CUSUM detectors scan day-column by day-column.
+        """
+        _require_day_series(self.key_names)
+        n_days = self.extents["day"]
+        domains, countries, days = (self.keys[name] for name in DAY_SERIES_KEYS)
+        # Cells are sorted by (domain, country, day), so pair boundaries are
+        # where either name changes.
+        new_pair = np.ones(len(days), dtype=bool)
+        new_pair[1:] = (domains[1:] != domains[:-1]) | (countries[1:] != countries[:-1])
+        pair_of_cell = np.cumsum(new_pair) - 1
+        starts = np.flatnonzero(new_pair)
+        matrices = []
+        for spec, column in zip(self.aggregates, self.values):
+            if isinstance(spec, Quantiles):
+                for q_index in range(len(spec.qs)):
+                    matrix = np.full((len(starts), n_days), np.nan)
+                    matrix[pair_of_cell, days] = column[:, q_index]
+                    matrices.append(matrix)
+            else:
+                matrix = np.zeros((len(starts), n_days), dtype=column.dtype)
+                matrix[pair_of_cell, days] = column
+                matrices.append(matrix)
+        return (domains[starts], countries[starts], *matrices)
+
 
 class DenseResult:
     """Dense per-key-cell accumulator arrays from a foldable, maskless query.
 
     ``values[i]`` is shaped ``tuple(extents[name] for name in key_names)``
-    and lines up with ``aggregates[i]``; empty cells hold zero.  The arrays
-    are read-only views over the incremental fold state, valid until the
-    store's next append — callers that outlive a mutation copy what they
-    keep (the monitor's day-series wrapper fancy-indexes, which copies).
+    and lines up with ``aggregates[i]``; empty cells hold zero.
+    ``labels[name]`` decodes each axis position (the day axis is its own
+    label) and ``presence`` counts the rows behind every cell, whichever
+    aggregates were asked for.  The arrays are read-only views over the
+    incremental fold state, valid until the store's next append — callers
+    that outlive a mutation copy what they keep (:meth:`cell_series`
+    fancy-indexes, which copies).
     """
 
-    __slots__ = ("key_names", "aggregates", "values", "extents")
+    __slots__ = ("key_names", "aggregates", "values", "extents", "labels", "presence")
 
     def __init__(
         self,
@@ -303,56 +396,44 @@ class DenseResult:
         aggregates: tuple[Aggregate, ...],
         values: tuple[np.ndarray, ...],
         extents: dict[str, int],
+        labels: dict[str, np.ndarray],
+        presence: np.ndarray,
     ) -> None:
         self.key_names = key_names
         self.aggregates = aggregates
         self.values = values
         self.extents = extents
+        self.labels = labels
+        self.presence = presence
 
     def value(self, aggregate: "Aggregate | str | int") -> np.ndarray:
-        if isinstance(aggregate, int):
-            return self.values[aggregate]
-        for spec, column in zip(self.aggregates, self.values):
-            if spec == aggregate or spec.name == aggregate:
-                return column
-        raise KeyError(f"no aggregate {aggregate!r} in this result")
+        return _find_value(self.aggregates, self.values, aggregate)
 
+    def cell_series(self) -> tuple[np.ndarray, ...]:
+        """:meth:`QueryResult.cell_series` straight off the dense arrays.
 
-class TimingDaySeries:
-    """Dense per-(domain, country) day matrices of an ``elapsed_ms`` quantile.
-
-    The timing sibling of the success-rate day series: ``counts`` is the
-    ``(C, n_days)`` filtered measurement count per pair-day and ``values``
-    the per-day quantile (NaN where a pair-day has no measurements).  Pairs
-    carry the same sorted (domain, country) order as the success series on
-    the same corpus.  Consumed by
-    :class:`repro.core.inference.TimingCusumDetector`.
-    """
-
-    __slots__ = ("domains", "countries", "counts", "values", "n_days", "quantile")
-
-    def __init__(
-        self,
-        domains: np.ndarray,
-        countries: np.ndarray,
-        counts: np.ndarray,
-        values: np.ndarray,
-        n_days: int,
-        quantile: float,
-    ) -> None:
-        self.domains = domains
-        self.countries = countries
-        self.counts = counts
-        self.values = values
-        self.n_days = n_days
-        self.quantile = quantile
-
-    def __len__(self) -> int:
-        return len(self.domains)
-
-    def cell_series(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(domains, countries, counts, values)`` — the detector's layout."""
-        return self.domains, self.countries, self.counts, self.values
+        Same pairs, same sorted (domain, country) order and the same
+        matrices as the cells view of the same query, but built without
+        the ragged (domain, country, day) materialization — no per-cell
+        string arrays, no lexsort over every cell of history — so an
+        always-on monitor's per-epoch cost tracks the *new* rows.
+        """
+        _require_day_series(self.key_names)
+        n_countries = self.extents["country"]
+        n_days = self.extents["day"]
+        # Reshape by the explicit pair count: ``(-1, n_days)`` is ambiguous
+        # when every row is excluded and the day axis is empty.
+        n_pairs = self.extents["domain"] * n_countries
+        pairs = np.flatnonzero(self.presence.reshape(n_pairs, n_days).any(axis=1))
+        domains = self.labels["domain"][pairs // n_countries]
+        countries = self.labels["country"][pairs % n_countries]
+        order = np.lexsort((countries, domains))
+        rows = pairs[order]
+        return (
+            domains[order],
+            countries[order],
+            *(array.reshape(n_pairs, n_days)[rows] for array in self.values),
+        )
 
 
 @dataclass(frozen=True)
@@ -482,7 +563,7 @@ def _valid_rows(part, mask_part, exclude_automated, exclude_inconclusive, length
 
 
 # ----------------------------------------------------------------------
-# Incremental fold state (the PR 6 watermark, generalized)
+# Incremental fold state (the sealed-segment watermark)
 # ----------------------------------------------------------------------
 class _QueryFoldState:
     """Persistent fold accumulators for one foldable query signature.
@@ -688,7 +769,7 @@ def run_query(
     """Group ``store`` rows by ``keys`` and reduce with ``aggregates``.
 
     The one engine behind every store reduction; see the module docstring
-    for the model and ``docs/query_api.md`` for the migration table.
+    for the model and ``docs/query_api.md`` for the result shapes.
     Maskless results are cached per store version; maskless all-foldable
     queries additionally advance the fold-once incremental state instead of
     rescanning history.
@@ -741,26 +822,33 @@ def _run_fold(store, keys, aggregates, exclude_automated, exclude_inconclusive, 
     if len(store) == 0:
         if shape == "dense":
             extents = {key: (_axis_extent(store, key) or 0) for key in keys}
+            dense_shape = tuple(extents[key] for key in keys)
             values = tuple(
                 np.zeros(
-                    tuple(extents[key] for key in keys),
+                    dense_shape,
                     dtype=np.float64 if isinstance(spec, Sum) else np.int64,
                 )
                 for spec in aggregates
             )
-            return DenseResult(keys, aggregates, values, extents)
+            return DenseResult(
+                keys, aggregates, values, extents, _axis_labels(store, extents),
+                np.zeros(dense_shape, dtype=np.int64),
+            )
         return _empty_result(store, keys, aggregates)
     view = _advanced_fold_state(
         store, keys, agg_specs, exclude_automated, exclude_inconclusive
     )
     extents = {key: extent for key, extent in zip(keys, view.extents)}
     if shape == "dense":
-        values = []
-        for spec in aggregates:
-            array = view.sliced(spec.state_key()).view()
+        def frozen(state_key: tuple) -> np.ndarray:
+            array = view.sliced(state_key).view()
             array.flags.writeable = False
-            values.append(array)
-        return DenseResult(keys, aggregates, tuple(values), extents)
+            return array
+
+        return DenseResult(
+            keys, aggregates, tuple(frozen(spec.state_key()) for spec in aggregates),
+            extents, _axis_labels(store, extents), frozen(("count",)),
+        )
     count_flat = view.sliced(("count",)).ravel()
     cells = np.flatnonzero(count_flat)
     dense = {
@@ -772,6 +860,14 @@ def _run_fold(store, keys, aggregates, exclude_automated, exclude_inconclusive, 
         [view.extents[axis] for axis in range(len(keys))],
         lambda spec, order: dense[spec.state_key()][order],
     )
+
+
+def _axis_labels(store, extents: dict[str, int]) -> dict[str, np.ndarray]:
+    """Decoded values of every axis position (a dense result's labels)."""
+    return {
+        key: _decode_axis(store, key, np.arange(extent))
+        for key, extent in extents.items()
+    }
 
 
 def _cells_result(store, keys, aggregates, cells, extents, value_of):
@@ -989,32 +1085,22 @@ def _group_quantiles(values, group_index, group_counts, qs) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Legacy-shaped conveniences (what the store shims and in-repo callers use)
+# Named query shapes (what the detectors and in-repo callers ask for)
 # ----------------------------------------------------------------------
 _COUNT_AGGS = (Count(), SuccessCount())
 
 
 def grouped_success_counts(
     store: "MeasurementStore", exclude_automated: bool = True, *, by_day: bool = False
-) -> "GroupedCounts | DayGroupedCounts":
-    """Per-(domain, country[, day]) totals/successes via the query kernel.
+) -> QueryResult:
+    """Per-(domain, country[, day]) ``count`` and ``success_count`` cells.
 
-    The engine behind the deprecated ``MeasurementStore.success_counts``,
-    row-identical to it: same exclusions (inconclusive always, automated by
-    default), same cell order, same fold-once incremental watermark.
+    Inconclusive rows are always excluded, automated ones by default; the
+    result rides the fold-once incremental watermark and is cached per
+    store version.  ``by_day=True`` results offer :meth:`QueryResult.cell_series`.
     """
-    cache_key = ("success_counts", exclude_automated, by_day)
-    cached = store._derived(cache_key)
-    if cached is not None:
-        return cached
-    empty = _empty_grouped(store, by_day)
-    if empty is not None:
-        return store._derive(cache_key, empty)
-    keys = ("domain", "country", "day") if by_day else ("domain", "country")
-    result = run_query(
-        store, keys, _COUNT_AGGS, exclude_automated=exclude_automated
-    )
-    return store._derive(cache_key, _grouped_from_result(result, by_day))
+    keys = DAY_SERIES_KEYS if by_day else ("domain", "country")
+    return run_query(store, keys, _COUNT_AGGS, exclude_automated=exclude_automated)
 
 
 def masked_grouped_success_counts(
@@ -1023,98 +1109,43 @@ def masked_grouped_success_counts(
     exclude_automated: bool = True,
     *,
     by_day: bool = False,
-) -> "GroupedCounts | DayGroupedCounts":
-    """``grouped_success_counts`` restricted to the rows where ``mask`` holds.
+) -> QueryResult:
+    """:func:`grouped_success_counts` restricted to the rows where ``mask`` holds.
 
-    The engine behind the deprecated ``masked_success_counts``; not cached
-    because masks vary call to call.
+    What the reputation filter's store verdict re-detects over; not cached
+    because masks vary call to call.  A mask whose length differs from the
+    store's is rejected.
     """
-    mask = np.asarray(mask, dtype=bool)
-    if len(mask) != len(store):
-        raise ValueError(
-            f"mask has {len(mask)} entries for a store of {len(store)} rows"
-        )
-    empty = _empty_grouped(store, by_day)
-    if empty is not None:
-        return empty
-    keys = ("domain", "country", "day") if by_day else ("domain", "country")
-    result = run_query(
+    keys = DAY_SERIES_KEYS if by_day else ("domain", "country")
+    return run_query(
         store, keys, _COUNT_AGGS, mask=mask, exclude_automated=exclude_automated
-    )
-    return _grouped_from_result(result, by_day)
-
-
-def _empty_grouped(store, by_day):
-    """The legacy empty-store result, bit-for-bit (or None when non-empty)."""
-    if len(store) != 0 and store._country_values:
-        return None
-    empty_str = np.empty(0, dtype=np.str_)
-    empty_int = np.empty(0, dtype=np.int64)
-    if by_day:
-        return DayGroupedCounts(
-            empty_str, empty_str, empty_int, empty_int, empty_int, 0
-        )
-    return GroupedCounts(empty_str, empty_str, empty_int, empty_int)
-
-
-def _grouped_from_result(result: QueryResult, by_day: bool):
-    totals = result.value("count")
-    successes = result.value("success_count")
-    if by_day:
-        return DayGroupedCounts(
-            result.key("domain"), result.key("country"), result.key("day"),
-            totals, successes, result.extents["day"],
-        )
-    return GroupedCounts(
-        result.key("domain"), result.key("country"), totals, successes
     )
 
 
 def dense_day_series(
     store: "MeasurementStore", exclude_automated: bool = True
-) -> DenseDayCounts:
-    """Dense (pair, day) success matrices for the always-on monitor loop.
+) -> DenseResult:
+    """Dense (domain, country, day) success accumulators for the monitor loop.
 
-    The engine behind the deprecated ``success_day_series``: rides the same
-    fold-once accumulator (and watermark) as the by-day grouped counts, but
-    skips the ragged cell materialization, so per-epoch cost stays flat as
-    the day axis grows.  The matrices are fancy-indexed copies, never views
-    of the live accumulator.
+    Rides the same fold-once accumulator (and watermark) as the by-day
+    grouped counts but skips the ragged cell materialization;
+    :meth:`DenseResult.cell_series` yields the same per-pair matrices as
+    ``grouped_success_counts(store, by_day=True).cell_series()``.  The
+    result views the live accumulator: take its ``cell_series()`` (copies)
+    before the store's next append.
     """
-    if len(store) == 0 or not store._country_values:
-        empty_str = np.empty(0, dtype=np.str_)
-        empty_2d = np.zeros((0, 0), dtype=np.int64)
-        return DenseDayCounts(empty_str, empty_str, empty_2d, empty_2d.copy(), 0)
-    dense = run_query(
-        store, ("domain", "country", "day"), _COUNT_AGGS,
+    return run_query(
+        store, DAY_SERIES_KEYS, _COUNT_AGGS,
         exclude_automated=exclude_automated, shape="dense",
-    )
-    n_days = dense.extents["day"]
-    n_countries = dense.extents["country"]
-    # Reshape by the explicit pair count: ``(-1, n_days)`` is ambiguous
-    # when every row is excluded and the day axis is empty.
-    n_pairs = dense.extents["domain"] * n_countries
-    totals = dense.value("count").reshape(n_pairs, n_days)
-    successes = dense.value("success_count").reshape(n_pairs, n_days)
-    pairs = np.flatnonzero(totals.any(axis=1))
-    domains = np.asarray(store._domain_values, dtype=np.str_)[pairs // n_countries]
-    countries = np.asarray(store._country_values, dtype=np.str_)[pairs % n_countries]
-    order = np.lexsort((countries, domains))
-    return DenseDayCounts(
-        domains[order],
-        countries[order],
-        totals[pairs[order]],
-        successes[pairs[order]],
-        n_days,
     )
 
 
 def distinct_ip_count(store: "MeasurementStore") -> int:
     """Distinct client addresses via the query kernel.
 
-    The engine behind the deprecated ``distinct_ips``: counts over *all*
-    rows (no outcome or automation exclusions), streaming per-segment
-    uniques so a spilled store never concatenates the full string column.
+    Counts over *all* rows (no outcome or automation exclusions), streaming
+    per-segment uniques so a spilled store never concatenates the full
+    string column.
     """
     cached = store._derived("distinct_ips")
     if cached is not None:
@@ -1131,54 +1162,20 @@ def timing_day_series(
     store: "MeasurementStore",
     quantile: float = 0.9,
     exclude_automated: bool = True,
-) -> TimingDaySeries:
-    """Per-(domain, country) day matrices of an ``elapsed_ms`` quantile.
+) -> QueryResult:
+    """Per-(domain, country, day) ``count`` and ``elapsed_ms`` quantile cells.
 
-    The new power the kernel buys: the same grouping as the success-rate
-    day series, but aggregating request timing — what
+    The same grouping as the success-rate day series, aggregating request
+    timing instead; its :meth:`~QueryResult.cell_series` — ``(domains,
+    countries, counts, values)`` with NaN on days without rows — is what
     :class:`repro.core.inference.TimingCusumDetector` scans to catch
     throttling that success rates cannot see.  Cached per store version.
     """
-    cache_key = ("timing_day_series", float(quantile), exclude_automated)
-    cached = store._derived(cache_key)
-    if cached is not None:
-        return cached
-    result = run_query(
-        store, ("domain", "country", "day"),
+    return run_query(
+        store, DAY_SERIES_KEYS,
         (Count(), Quantiles("elapsed_ms", (float(quantile),))),
         exclude_automated=exclude_automated,
     )
-    n_days = result.extents["day"]
-    if not len(result):
-        empty_str = np.empty(0, dtype=np.str_)
-        series = TimingDaySeries(
-            empty_str, empty_str,
-            np.zeros((0, n_days), dtype=np.int64),
-            np.full((0, n_days), np.nan),
-            n_days, float(quantile),
-        )
-        return store._derive(cache_key, series)
-    domains = result.key("domain")
-    countries = result.key("country")
-    days = result.key("day")
-    # Cells arrive sorted by (domain, country, day); pair boundaries are
-    # where either name changes — the same densification as
-    # ``DayGroupedCounts.cell_series``.
-    new_pair = np.r_[
-        True,
-        (domains[1:] != domains[:-1]) | (countries[1:] != countries[:-1]),
-    ]
-    pair_of_cell = np.cumsum(new_pair) - 1
-    starts = np.flatnonzero(new_pair)
-    n_pairs = len(starts)
-    counts = np.zeros((n_pairs, n_days), dtype=np.int64)
-    values = np.full((n_pairs, n_days), np.nan)
-    counts[pair_of_cell, days] = result.value("count")
-    values[pair_of_cell, days] = result.value(1)[:, 0]
-    series = TimingDaySeries(
-        domains[starts], countries[starts], counts, values, n_days, float(quantile)
-    )
-    return store._derive(cache_key, series)
 
 
 # ----------------------------------------------------------------------

@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.core.collection import CollectionServer, ColumnarRecords, Measurement
 from repro.core.inference import BinomialFilteringDetector
-from repro.core.query import masked_grouped_success_counts
+from repro.core.query import QueryResult, masked_grouped_success_counts
 from repro.core.shard import (
     MANIFEST_NAME,
     StoreMerger,
@@ -59,12 +59,7 @@ from repro.core.shard import (
     serialize_value_tables,
     write_manifest,
 )
-from repro.core.store import (
-    OUTCOME_FAILURE,
-    DictColumn,
-    GroupedCounts,
-    MeasurementStore,
-)
+from repro.core.store import OUTCOME_FAILURE, DictColumn, MeasurementStore
 from repro.core.tasks import TaskOutcome, TaskType
 from repro.obs.metrics import get_registry
 from repro.obs.trace import NULL_TRACER
@@ -237,7 +232,7 @@ class StoreReputationReport:
     def kept_measurements(self) -> list[Measurement]:
         return self.store.rows(self.kept_indices)
 
-    def success_counts(self, exclude_automated: bool = True) -> GroupedCounts:
+    def success_counts(self, exclude_automated: bool = True) -> QueryResult:
         """Per-(domain, country) totals over only the kept rows.
 
         Feed this to ``BinomialFilteringDetector.detect_from_counts`` to

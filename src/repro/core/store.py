@@ -17,9 +17,7 @@ instead:
   filter criteria as boolean masks and returns a :class:`Selection` (mask +
   column views); :meth:`MeasurementStore.query` hands any keyed reduction —
   per-(domain, country[, day]) counts, timing quantiles, distinct clients —
-  to the one group-by kernel in :mod:`repro.core.query`.  The legacy
-  bespoke reductions (``success_counts`` and friends) survive as deprecated
-  thin wrappers over it, pinned row-identical by equivalence tests.
+  to the one group-by kernel in :mod:`repro.core.query`.
 * **Bounded memory.**  With ``max_rows_in_memory=`` set, sealed column
   segments spill to ``.npz`` files under ``spill_dir`` (a temporary
   directory if none is given).  Queries transparently concatenate spilled
@@ -35,7 +33,6 @@ instead:
 from __future__ import annotations
 
 import tempfile
-import warnings
 from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
@@ -96,181 +93,6 @@ class DictColumn(NamedTuple):
 
 def _column_length(column) -> int:
     return len(column.indices) if isinstance(column, DictColumn) else len(column)
-
-
-class GroupedCounts:
-    """Per-(domain, country) measurement totals as parallel arrays.
-
-    The cells are sorted by ``(domain, country)`` — the order the detector
-    reports statistics in — and ``totals``/``successes`` line up with
-    ``domains``/``countries`` index-for-index.  :meth:`as_dict` recovers the
-    legacy ``{(domain, country): (n, successes)}`` mapping.
-    """
-
-    __slots__ = ("domains", "countries", "totals", "successes")
-
-    def __init__(
-        self,
-        domains: np.ndarray,
-        countries: np.ndarray,
-        totals: np.ndarray,
-        successes: np.ndarray,
-    ) -> None:
-        self.domains = domains
-        self.countries = countries
-        self.totals = totals
-        self.successes = successes
-
-    def __len__(self) -> int:
-        return len(self.totals)
-
-    @classmethod
-    def from_dict(cls, counts: dict) -> "GroupedCounts":
-        """Build sorted cell arrays from a legacy counts mapping."""
-        items = sorted(counts.items())
-        domains = np.asarray([d for (d, _), _ in items], dtype=np.str_)
-        countries = np.asarray([c for (_, c), _ in items], dtype=np.str_)
-        totals = np.asarray([n for _, (n, _) in items], dtype=np.int64)
-        successes = np.asarray([s for _, (_, s) in items], dtype=np.int64)
-        return cls(domains, countries, totals, successes)
-
-    def as_dict(self) -> dict[tuple[str, str], tuple[int, int]]:
-        """The legacy ``(domain, country) -> (n, successes)`` mapping."""
-        return {
-            (str(d), str(c)): (int(n), int(s))
-            for d, c, n, s in zip(self.domains, self.countries, self.totals, self.successes)
-        }
-
-
-class DayGroupedCounts:
-    """Per-(domain, country, day) measurement totals as parallel arrays.
-
-    The day-bucketed sibling of :class:`GroupedCounts` — what the
-    longitudinal pipeline consumes.  Cells are sorted by ``(domain,
-    country, day)`` and the arrays line up index-for-index; days with no
-    measurements for a pair simply have no cell.  ``n_days`` is the day-axis
-    extent (one past the largest day seen).  :meth:`cell_series` densifies
-    the ragged cells into per-(domain, country) day matrices for the
-    change-point detector.
-    """
-
-    __slots__ = ("domains", "countries", "days", "totals", "successes", "n_days")
-
-    def __init__(
-        self,
-        domains: np.ndarray,
-        countries: np.ndarray,
-        days: np.ndarray,
-        totals: np.ndarray,
-        successes: np.ndarray,
-        n_days: int,
-    ) -> None:
-        self.domains = domains
-        self.countries = countries
-        self.days = days
-        self.totals = totals
-        self.successes = successes
-        self.n_days = n_days
-
-    def __len__(self) -> int:
-        return len(self.totals)
-
-    @classmethod
-    def from_dict(cls, counts: dict, n_days: int | None = None) -> "DayGroupedCounts":
-        """Build sorted cell arrays from a ``{(domain, country, day): (n, s)}`` map.
-
-        ``n_days`` may widen the day axis beyond the data (trailing empty
-        days) but never truncate it — a too-small value would make
-        :meth:`cell_series` index past its matrices, so it is rejected here.
-        """
-        items = sorted(counts.items())
-        domains = np.asarray([d for (d, _, _), _ in items], dtype=np.str_)
-        countries = np.asarray([c for (_, c, _), _ in items], dtype=np.str_)
-        days = np.asarray([day for (_, _, day), _ in items], dtype=np.int64)
-        totals = np.asarray([n for _, (n, _) in items], dtype=np.int64)
-        successes = np.asarray([s for _, (_, s) in items], dtype=np.int64)
-        least = int(days.max()) + 1 if len(days) else 0
-        if n_days is None:
-            n_days = least
-        elif n_days < least:
-            raise ValueError(
-                f"n_days={n_days} cannot cover days up to {least - 1}"
-            )
-        return cls(domains, countries, days, totals, successes, n_days)
-
-    def as_dict(self) -> dict[tuple[str, str, int], tuple[int, int]]:
-        """The ``(domain, country, day) -> (n, successes)`` mapping."""
-        return {
-            (str(d), str(c), int(day)): (int(n), int(s))
-            for d, c, day, n, s in zip(
-                self.domains, self.countries, self.days, self.totals, self.successes
-            )
-        }
-
-    def cell_series(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Dense per-pair day series: ``(domains, countries, totals, successes)``.
-
-        The first two arrays name the ``C`` distinct (domain, country) pairs
-        (in sorted order); the matrices are ``(C, n_days)`` with zeros where
-        a pair has no measurements on a day — the layout the vectorized
-        CUSUM detector scans day-column by day-column.
-        """
-        if len(self) == 0:
-            empty = np.empty(0, dtype=np.str_)
-            return empty, empty, np.zeros((0, self.n_days), dtype=np.int64), np.zeros(
-                (0, self.n_days), dtype=np.int64
-            )
-        # Cells are already sorted by (domain, country, day), so pair
-        # boundaries are where either name changes.
-        new_pair = np.r_[
-            True, (self.domains[1:] != self.domains[:-1])
-            | (self.countries[1:] != self.countries[:-1])
-        ]
-        pair_of_cell = np.cumsum(new_pair) - 1
-        starts = np.flatnonzero(new_pair)
-        n_pairs = len(starts)
-        totals = np.zeros((n_pairs, self.n_days), dtype=np.int64)
-        successes = np.zeros((n_pairs, self.n_days), dtype=np.int64)
-        totals[pair_of_cell, self.days] = self.totals
-        successes[pair_of_cell, self.days] = self.successes
-        return self.domains[starts], self.countries[starts], totals, successes
-
-
-class DenseDayCounts:
-    """Per-pair day matrices served straight off the incremental fold state.
-
-    Duck-type compatible with the slice of :class:`DayGroupedCounts` the
-    CUSUM change-point scan consumes (``n_days`` plus :meth:`cell_series`),
-    but built without the ragged (domain, country, day) materialization —
-    no per-cell string arrays, no lexsort over every cell of history — so
-    an always-on monitor's per-epoch aggregation cost tracks the *new*
-    rows, not the length of history.  Pairs carry the same members and the
-    same sorted (domain, country) order as ``DayGroupedCounts.cell_series``
-    on the same corpus, which keeps the two paths' events bit-identical.
-    """
-
-    __slots__ = ("domains", "countries", "totals", "successes", "n_days")
-
-    def __init__(
-        self,
-        domains: np.ndarray,
-        countries: np.ndarray,
-        totals: np.ndarray,
-        successes: np.ndarray,
-        n_days: int,
-    ) -> None:
-        self.domains = domains
-        self.countries = countries
-        self.totals = totals
-        self.successes = successes
-        self.n_days = n_days
-
-    def __len__(self) -> int:
-        return len(self.domains)
-
-    def cell_series(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Already dense: ``(domains, countries, totals, successes)``."""
-        return self.domains, self.countries, self.totals, self.successes
 
 
 class Selection:
@@ -667,8 +489,8 @@ class MeasurementStore:
     def seal_pending(self) -> None:
         """Seal the pending row buffer into an immutable segment now.
 
-        Sealed segments are folded into the persistent aggregates behind
-        :meth:`success_counts` exactly once; pending rows are re-folded on
+        Sealed segments are folded into the query kernel's persistent
+        aggregates exactly once; pending rows are re-folded on
         every call (they are still mutable).  Callers that aggregate after
         every small append — the longitudinal monitor after each epoch —
         seal first so per-call work stays proportional to the new rows, not
@@ -953,7 +775,7 @@ class MeasurementStore:
         accumulator (each sealed segment folded exactly once over the
         store's lifetime), so an always-on monitor's per-call cost tracks
         the new rows.  See ``docs/query_api.md`` for the model and the
-        migration table from the deprecated bespoke reductions.
+        two result shapes.
         """
         from repro.core import query as _query
 
@@ -967,148 +789,6 @@ class MeasurementStore:
             shape=shape,
             tracer=_query.NULL_TRACER if tracer is None else tracer,
         )
-
-    def success_counts(
-        self, exclude_automated: bool = True, *, by_day: bool = False
-    ) -> "GroupedCounts | DayGroupedCounts":
-        """Deprecated: per-(domain, country[, day]) totals and successes.
-
-        A thin wrapper over :meth:`query` (keys ``(domain, country[, day])``,
-        aggregates ``(Count(), SuccessCount())``), kept for callers of the
-        pre-kernel API and pinned row-identical to it by equivalence tests.
-        Use :meth:`query` or :func:`repro.core.query.grouped_success_counts`.
-        """
-        warnings.warn(
-            "MeasurementStore.success_counts() is deprecated; use "
-            "store.query() or repro.core.query.grouped_success_counts()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.core.query import grouped_success_counts
-
-        return grouped_success_counts(self, exclude_automated, by_day=by_day)
-
-    def success_counts_reference(
-        self, exclude_automated: bool = True, *, by_day: bool = False
-    ) -> "GroupedCounts | DayGroupedCounts":
-        """Per-row reference for the grouped success reduction.
-
-        The readable dict-update walk over materialized rows that the
-        equivalence tests pin the query kernel against.
-        """
-        counts: dict[tuple, tuple[int, int]] = {}
-        for m in self.rows():
-            if m.outcome is TaskOutcome.INCONCLUSIVE:
-                continue
-            if exclude_automated and m.is_automated:
-                continue
-            if by_day:
-                key = (m.target_domain, m.country_code, m.day)
-            else:
-                key = (m.target_domain, m.country_code)
-            n, s = counts.get(key, (0, 0))
-            counts[key] = (n + 1, s + (m.outcome is TaskOutcome.SUCCESS))
-        if by_day:
-            return DayGroupedCounts.from_dict(counts)
-        return GroupedCounts.from_dict(counts)
-
-    def success_day_series(self, exclude_automated: bool = True) -> DenseDayCounts:
-        """Deprecated: dense (pair, day) success matrices for the monitor loop.
-
-        A thin wrapper over :meth:`query` with ``shape="dense"`` — same
-        fold-once accumulator and watermark as the by-day grouped counts,
-        no ragged cell materialization, so per-epoch monitor cost stays
-        flat.  Use :func:`repro.core.query.dense_day_series`.
-        """
-        warnings.warn(
-            "MeasurementStore.success_day_series() is deprecated; use "
-            "repro.core.query.dense_day_series()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.core.query import dense_day_series
-
-        return dense_day_series(self, exclude_automated)
-
-    def success_day_series_reference(
-        self, exclude_automated: bool = True
-    ) -> DenseDayCounts:
-        """Per-row reference for the dense day series (densified reference cells)."""
-        ref = self.success_counts_reference(exclude_automated, by_day=True)
-        domains, countries, totals, successes = ref.cell_series()
-        return DenseDayCounts(domains, countries, totals, successes, ref.n_days)
-
-    def masked_success_counts(
-        self, mask: np.ndarray, exclude_automated: bool = True, *, by_day: bool = False
-    ) -> "GroupedCounts | DayGroupedCounts":
-        """Deprecated: :meth:`success_counts` restricted to ``mask`` rows.
-
-        A thin wrapper over :meth:`query` with a row mask — what the
-        reputation filter's store verdict uses to re-run detection over only
-        the surviving rows of a poisoned store.  Use :meth:`query` or
-        :func:`repro.core.query.masked_grouped_success_counts`.
-        """
-        warnings.warn(
-            "MeasurementStore.masked_success_counts() is deprecated; use "
-            "store.query(mask=...) or "
-            "repro.core.query.masked_grouped_success_counts()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.core.query import masked_grouped_success_counts
-
-        return masked_grouped_success_counts(
-            self, mask, exclude_automated, by_day=by_day
-        )
-
-    def masked_success_counts_reference(
-        self, mask: np.ndarray, exclude_automated: bool = True, *, by_day: bool = False
-    ) -> "GroupedCounts | DayGroupedCounts":
-        """Per-row reference for the masked grouped reduction."""
-        mask = np.asarray(mask, dtype=bool)
-        if len(mask) != len(self):
-            raise ValueError(
-                f"mask has {len(mask)} entries for a store of {len(self)} rows"
-            )
-        counts: dict[tuple, tuple[int, int]] = {}
-        for m, keep in zip(self.rows(), mask.tolist()):
-            if not keep or m.outcome is TaskOutcome.INCONCLUSIVE:
-                continue
-            if exclude_automated and m.is_automated:
-                continue
-            if by_day:
-                key = (m.target_domain, m.country_code, m.day)
-            else:
-                key = (m.target_domain, m.country_code)
-            n, s = counts.get(key, (0, 0))
-            counts[key] = (n + 1, s + (m.outcome is TaskOutcome.SUCCESS))
-        if by_day:
-            return DayGroupedCounts.from_dict(counts)
-        return GroupedCounts.from_dict(counts)
-
-    def distinct_ips(self) -> int:
-        """Deprecated: distinct client addresses over all rows.
-
-        A thin wrapper over :meth:`query` with a
-        :class:`~repro.core.query.DistinctCount` aggregate (per-segment
-        deduplication keeps a spilled store from concatenating the full
-        string column).  Use :meth:`query` or
-        :func:`repro.core.query.distinct_ip_count`.
-        """
-        warnings.warn(
-            "MeasurementStore.distinct_ips() is deprecated; use "
-            "store.query() with DistinctCount('client_ip') or "
-            "repro.core.query.distinct_ip_count()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.core.query import distinct_ip_count
-
-        return distinct_ip_count(self)
-
-    def distinct_ips_reference(self) -> int:
-        """Per-row reference for the distinct-client count (no exclusions)."""
-        return len({m.client_ip for m in self.rows()})
 
     def distinct_countries(self) -> int:
         cached = self._derived("distinct_countries")

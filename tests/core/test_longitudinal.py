@@ -11,7 +11,7 @@ from repro.core.inference import (
 )
 from repro.core.longitudinal import LongitudinalConfig, LongitudinalEngine
 from repro.core.pipeline import CampaignConfig, EncoreDeployment
-from repro.core.store import DayGroupedCounts
+from repro.core.query import DAY_SERIES_KEYS, QueryResult
 from repro.population.world import World, WorldConfig
 
 
@@ -54,7 +54,7 @@ def random_day_counts(rng, cells=40, n_days=50, empty_fraction=0.2):
             p = 0.08 if censored else 0.92
             s = int(rng.binomial(n, p))
             counts[(domain, country, day)] = (n, s)
-    return DayGroupedCounts.from_dict(counts, n_days=n_days)
+    return QueryResult.from_dict(counts, DAY_SERIES_KEYS, n_days=n_days)
 
 
 class TestCusumEquivalence:
@@ -77,7 +77,7 @@ class TestCusumEquivalence:
         assert fast  # the synthetic shifts are large; silence would be a bug
 
     def test_empty_counts_detect_nothing(self):
-        empty = DayGroupedCounts.from_dict({})
+        empty = QueryResult.from_dict({}, DAY_SERIES_KEYS)
         detector = CusumChangePointDetector()
         assert detector.detect_events(empty) == []
         assert detector.detect_events_reference(empty) == []
@@ -85,7 +85,7 @@ class TestCusumEquivalence:
     def test_quiet_series_stays_silent(self):
         counts = {("a.org", "DE", day): (50, 47) for day in range(40)}
         detector = CusumChangePointDetector()
-        assert detector.detect_events(DayGroupedCounts.from_dict(counts)) == []
+        assert detector.detect_events(QueryResult.from_dict(counts, DAY_SERIES_KEYS)) == []
 
     def test_single_shift_reports_onset_and_recovery(self):
         counts = {}
@@ -93,7 +93,7 @@ class TestCusumEquivalence:
             rate = 0.9 if day < 12 or day >= 22 else 0.05
             counts[("a.org", "DE", day)] = (100, int(100 * rate))
         events = CusumChangePointDetector().detect_events(
-            DayGroupedCounts.from_dict(counts)
+            QueryResult.from_dict(counts, DAY_SERIES_KEYS)
         )
         kinds = [(e.kind, e.change_day) for e in events]
         assert kinds == [("onset", 12), ("offset", 22)]
@@ -107,10 +107,10 @@ class TestCusumEquivalence:
             rate = 0.9 if day < 15 else 0.0
             counts[("a.org", "DE", day)] = (20, int(20 * rate))
         detector = CusumChangePointDetector(min_daily_measurements=5)
-        events = detector.detect_events(DayGroupedCounts.from_dict(counts))
+        events = detector.detect_events(QueryResult.from_dict(counts, DAY_SERIES_KEYS))
         assert [e.kind for e in events] == ["onset"]
         assert events == detector.detect_events_reference(
-            DayGroupedCounts.from_dict(counts)
+            QueryResult.from_dict(counts, DAY_SERIES_KEYS)
         )
 
     def test_parameter_validation(self):
@@ -128,9 +128,9 @@ class TestCusumEquivalence:
 # Resumable CUSUM state: split scans ≡ cold scans, checkpoints round-trip
 # ----------------------------------------------------------------------
 def truncated_day_counts(full, boundary):
-    """The first ``boundary`` days of a DayGroupedCounts, as its own table."""
+    """The first ``boundary`` days of a day-keyed count result, as its own table."""
     kept = {k: v for k, v in full.as_dict().items() if k[2] < boundary}
-    return DayGroupedCounts.from_dict(kept, n_days=boundary)
+    return QueryResult.from_dict(kept, DAY_SERIES_KEYS, n_days=boundary)
 
 
 class TestCusumResume:
@@ -148,11 +148,11 @@ class TestCusumResume:
         assert cold  # the synthetic shifts are large; silence would be a bug
         state = detector.initial_state()
         emitted = []
-        for boundary in [*boundaries, full.n_days]:
+        for boundary in [*boundaries, full.extents["day"]]:
             emitted.extend(detector.resume(state, truncated_day_counts(full, boundary)))
         assert emitted == cold
         assert state.events == cold
-        assert state.days_processed == full.n_days
+        assert state.days_processed == full.extents["day"]
         # A further resume over the same data is a no-op.
         assert detector.resume(state, full) == []
         assert state.events == cold

@@ -2,10 +2,11 @@
 
 The store replaced the collection server's ``list[Measurement]`` with
 struct-of-arrays storage; these tests pin the redesign's compatibility
-contract: every query (``select``/``filtered``, ``success_counts``, the
-distinct counters, detection) must agree with the seed row-list
-implementations — reproduced here as reference functions — on arbitrary
-corpora, with and without spilling segments to disk.
+contract: every query (``select``/``filtered``, the query kernel's
+``grouped_success_counts`` and friends, the distinct counters, detection)
+must agree with the seed row-list implementations — reproduced here as
+reference functions — on arbitrary corpora, with and without spilling
+segments to disk.
 """
 
 import tempfile
@@ -24,21 +25,19 @@ from repro.core.inference import (
     binomial_cdf_cells,
 )
 from repro.core.pipeline import CampaignConfig, EncoreDeployment
-from repro.core.store import DayGroupedCounts, GroupedCounts, MeasurementStore
+from repro.core.query import (
+    DAY_SERIES_KEYS,
+    QueryResult,
+    dense_day_series,
+    distinct_ip_count,
+    grouped_success_counts,
+    masked_grouped_success_counts,
+)
+from repro.core.store import MeasurementStore
 from repro.core.tasks import TaskOutcome, TaskType
 from repro.population.geoip import GeoIPDatabase
 from repro.population.world import World, WorldConfig
 from repro.web.url import URL
-
-# This module is the deprecated legacy reductions' equivalence pin: it
-# calls the MeasurementStore shims ON PURPOSE to keep them row-identical
-# to the seed semantics until removal.  The deprecation chatter is
-# acknowledged and silenced here — anywhere else, a shim call is a
-# straggler to migrate to the query kernel.
-pytestmark = pytest.mark.filterwarnings(
-    r"ignore:MeasurementStore\.:DeprecationWarning"
-)
-
 
 # ----------------------------------------------------------------------
 # Seed reference implementations (the pre-store row-list semantics)
@@ -77,7 +76,7 @@ def reference_success_counts(measurements, exclude_automated=True):
 
 
 def reference_day_counts(measurements, exclude_automated=True):
-    """The row-list semantics of ``success_counts(by_day=True)``."""
+    """The row-list semantics of ``grouped_success_counts(by_day=True)``."""
     totals = defaultdict(int)
     successes = defaultdict(int)
     for m in measurements:
@@ -176,7 +175,7 @@ class TestStoreMatchesRowListSemantics:
     def test_success_counts_equal_seed(self, corpus, exclude_automated):
         store = MeasurementStore(segment_rows=16)
         store.append_rows(corpus)
-        grouped = store.success_counts(exclude_automated=exclude_automated)
+        grouped = grouped_success_counts(store, exclude_automated=exclude_automated)
         assert grouped.as_dict() == reference_success_counts(corpus, exclude_automated)
 
     @given(corpus=corpora)
@@ -198,7 +197,7 @@ class TestStoreMatchesRowListSemantics:
                 assert store.rows_in_memory == 0
             assert store.rows() == corpus
             assert store.select(**combo).materialize() == reference_filtered(corpus, **combo)
-            assert store.success_counts().as_dict() == reference_success_counts(corpus)
+            assert grouped_success_counts(store).as_dict() == reference_success_counts(corpus)
 
     def test_spilling_many_resident_segments_at_once_keeps_rows(self, tmp_path):
         # Regression: spilling several resident segments in one call must
@@ -234,7 +233,7 @@ class TestStoreMatchesRowListSemantics:
     def test_distinct_counters_equal_seed(self, corpus):
         store = MeasurementStore(segment_rows=16)
         store.append_rows(corpus)
-        assert store.distinct_ips() == len({m.client_ip for m in corpus})
+        assert distinct_ip_count(store) == len({m.client_ip for m in corpus})
         assert store.distinct_countries() == len({m.country_code for m in corpus})
         assert store.measurements_by_country() == Counter(m.country_code for m in corpus)
 
@@ -247,9 +246,9 @@ class TestStoreMatchesRowListSemantics:
             store = MeasurementStore(segment_rows=8, max_rows_in_memory=8, spill_dir=tmp)
             store.append_rows(corpus)
             store.spill()
-            assert store.distinct_ips() == len({m.client_ip for m in corpus})
+            assert distinct_ip_count(store) == len({m.client_ip for m in corpus})
             # The count is cached until the next append invalidates it.
-            assert store.distinct_ips() == len({m.client_ip for m in corpus})
+            assert distinct_ip_count(store) == len({m.client_ip for m in corpus})
 
     @given(corpus=corpora, exclude_automated=st.booleans(), mask_seed=st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)
@@ -257,29 +256,33 @@ class TestStoreMatchesRowListSemantics:
         store = MeasurementStore(segment_rows=16)
         store.append_rows(corpus)
         mask = np.random.default_rng(mask_seed).random(len(corpus)) < 0.6
-        grouped = store.masked_success_counts(mask, exclude_automated=exclude_automated)
+        grouped = masked_grouped_success_counts(store, mask, exclude_automated=exclude_automated)
         kept_rows = [m for m, keep in zip(corpus, mask.tolist()) if keep]
         assert grouped.as_dict() == reference_success_counts(kept_rows, exclude_automated)
 
     def test_masked_success_counts_rejects_misaligned_mask(self):
         store = MeasurementStore()
         store.append_rows(TestDerivedCaches().make_corpus(4))
-        with pytest.raises(ValueError):
-            store.masked_success_counts(np.ones(3, dtype=bool))
+        with pytest.raises(ValueError, match="mask has 3 entries"):
+            masked_grouped_success_counts(store, np.ones(3, dtype=bool))
+        with pytest.raises(ValueError, match="mask has 1 entries"):
+            masked_grouped_success_counts(MeasurementStore(), np.ones(1, dtype=bool))
 
 
 class TestDayBucketedCounts:
-    """``success_counts(by_day=True)`` vs. the row-list reference, everywhere."""
+    """``grouped_success_counts(by_day=True)`` vs. the row-list reference, everywhere."""
 
     @given(corpus=corpora, exclude_automated=st.booleans())
     @settings(max_examples=50, deadline=None)
     def test_by_day_equals_reference(self, corpus, exclude_automated):
         store = MeasurementStore(segment_rows=16)
         store.append_rows(corpus)
-        grouped = store.success_counts(exclude_automated=exclude_automated, by_day=True)
+        grouped = grouped_success_counts(
+            store, exclude_automated=exclude_automated, by_day=True
+        )
         assert grouped.as_dict() == reference_day_counts(corpus, exclude_automated)
         if len(grouped):
-            assert grouped.n_days > int(grouped.days.max())
+            assert grouped.extents["day"] > int(grouped.key("day").max())
 
     @given(corpus=corpora, exclude_automated=st.booleans())
     @settings(max_examples=30, deadline=None)
@@ -290,8 +293,8 @@ class TestDayBucketedCounts:
             store.spill()
             if corpus:
                 assert store.segment_files and store.rows_in_memory == 0
-            grouped = store.success_counts(
-                exclude_automated=exclude_automated, by_day=True
+            grouped = grouped_success_counts(
+                store, exclude_automated=exclude_automated, by_day=True
             )
             assert grouped.as_dict() == reference_day_counts(corpus, exclude_automated)
 
@@ -305,7 +308,7 @@ class TestDayBucketedCounts:
         store = MeasurementStore(segment_rows=10)
         store.append_rows(own)
         store.adopt_segments_from(other)
-        grouped = store.success_counts(by_day=True)
+        grouped = grouped_success_counts(store, by_day=True)
         assert grouped.as_dict() == reference_day_counts(own + other_rows)
         # A foreign manifest-style adoption (explicit path + remap) too.
         mounted = MeasurementStore()
@@ -317,7 +320,7 @@ class TestDayBucketedCounts:
                 for kind, values in other.value_tables().items()
             }
             mounted.adopt_spilled_segment(path, length, remap=remap)
-        assert mounted.success_counts(by_day=True).as_dict() == reference_day_counts(
+        assert grouped_success_counts(mounted, by_day=True).as_dict() == reference_day_counts(
             other_rows
         )
 
@@ -345,33 +348,34 @@ class TestDayBucketedCounts:
             step = max(1, len(corpus) // 5)
             for start in range(0, len(corpus), step):
                 store.append_rows(corpus[start:start + step])
-                store.success_counts(exclude_automated, by_day=by_day)
+                grouped_success_counts(store, exclude_automated, by_day=by_day)
                 if start % (2 * step) == 0:
                     store.seal_pending()
-                    store.success_counts(exclude_automated, by_day=by_day)
+                    grouped_success_counts(store, exclude_automated, by_day=by_day)
             cold = MeasurementStore()
             cold.append_rows(corpus)
-            incremental = store.success_counts(exclude_automated, by_day=by_day)
-            reference = cold.success_counts(exclude_automated, by_day=by_day)
+            incremental = grouped_success_counts(store, exclude_automated, by_day=by_day)
+            reference = grouped_success_counts(cold, exclude_automated, by_day=by_day)
             assert incremental.as_dict() == reference.as_dict()
             if by_day:
-                assert incremental.n_days == reference.n_days
+                assert incremental.extents["day"] == reference.extents["day"]
                 assert incremental.as_dict() == reference_day_counts(
                     corpus, exclude_automated
                 )
                 # The dense monitor-loop accessor rides the same accumulator
                 # and must present the exact same cells in the same order as
                 # the ragged representation densified.
-                dense = store.success_day_series(exclude_automated)
+                dense = dense_day_series(store, exclude_automated)
                 ragged = reference.cell_series()
-                assert dense.n_days == reference.n_days
+                assert dense.extents["day"] == reference.extents["day"]
+                assert len(dense.cell_series()) == len(ragged)
                 for mine, theirs in zip(dense.cell_series(), ragged):
                     assert np.array_equal(mine, theirs)
             # After any cache-missing query, the fold watermark covers every
             # sealed segment exactly once.
             if corpus:
                 store.append_rows(corpus[:1])
-                store.success_counts(exclude_automated, by_day=by_day)
+                grouped_success_counts(store, exclude_automated, by_day=by_day)
                 assert store._query_states
                 assert all(
                     state.segments_folded == len(store._segments)
@@ -394,15 +398,15 @@ class TestDayBucketedCounts:
         other.append_rows(other_rows)
         store = MeasurementStore(segment_rows=5)
         store.append_rows(own)
-        store.success_counts(by_day=True)  # prime the fold state pre-merge
-        store.success_counts()
+        grouped_success_counts(store, by_day=True)  # prime the fold state pre-merge
+        grouped_success_counts(store)
         store.adopt_segments_from(other)
-        assert store.success_counts(by_day=True).as_dict() == reference_day_counts(
+        assert grouped_success_counts(store, by_day=True).as_dict() == reference_day_counts(
             corpus
         )
-        assert store.success_counts().as_dict() == reference_success_counts(corpus)
+        assert grouped_success_counts(store).as_dict() == reference_success_counts(corpus)
         store.append_rows(own)  # keep growing after the merge
-        assert store.success_counts(by_day=True).as_dict() == reference_day_counts(
+        assert grouped_success_counts(store, by_day=True).as_dict() == reference_day_counts(
             corpus + own
         )
 
@@ -412,8 +416,8 @@ class TestDayBucketedCounts:
         store = MeasurementStore(segment_rows=16)
         store.append_rows(corpus)
         mask = np.random.default_rng(mask_seed).random(len(corpus)) < 0.6
-        grouped = store.masked_success_counts(
-            mask, exclude_automated=exclude_automated, by_day=True
+        grouped = masked_grouped_success_counts(
+            store, mask, exclude_automated=exclude_automated, by_day=True
         )
         kept_rows = [m for m, keep in zip(corpus, mask.tolist()) if keep]
         assert grouped.as_dict() == reference_day_counts(kept_rows, exclude_automated)
@@ -423,12 +427,12 @@ class TestDayBucketedCounts:
     def test_cell_series_round_trips_the_cells(self, corpus):
         store = MeasurementStore(segment_rows=16)
         store.append_rows(corpus)
-        grouped = store.success_counts(by_day=True)
+        grouped = grouped_success_counts(store, by_day=True)
         domains, countries, totals, successes = grouped.cell_series()
-        assert totals.shape == (len(domains), grouped.n_days)
+        assert totals.shape == (len(domains), grouped.extents["day"])
         rebuilt = {}
         for index, (domain, country) in enumerate(zip(domains.tolist(), countries.tolist())):
-            for day in range(grouped.n_days):
+            for day in range(grouped.extents["day"]):
                 if totals[index, day]:
                     rebuilt[(domain, country, day)] = (
                         int(totals[index, day]), int(successes[index, day])
@@ -438,17 +442,17 @@ class TestDayBucketedCounts:
     def test_from_dict_round_trip(self):
         counts = {("a.org", "DE", 3): (10, 7), ("a.org", "DE", 0): (4, 4),
                   ("b.org", "CN", 1): (8, 1)}
-        grouped = DayGroupedCounts.from_dict(counts)
+        grouped = QueryResult.from_dict(counts, DAY_SERIES_KEYS)
         assert grouped.as_dict() == counts
-        assert grouped.n_days == 4
+        assert grouped.extents["day"] == 4
 
     def test_from_dict_rejects_truncating_n_days(self):
         counts = {("a.org", "DE", 5): (3, 1)}
         with pytest.raises(ValueError):
-            DayGroupedCounts.from_dict(counts, n_days=3)
+            QueryResult.from_dict(counts, DAY_SERIES_KEYS, n_days=3)
         # Widening beyond the data is fine (trailing empty days).
-        widened = DayGroupedCounts.from_dict(counts, n_days=10)
-        assert widened.n_days == 10
+        widened = QueryResult.from_dict(counts, DAY_SERIES_KEYS, n_days=10)
+        assert widened.extents["day"] == 10
         assert widened.cell_series()[2].shape == (1, 10)
 
     def test_by_day_growing_day_axis_across_ordered_chunks(self):
@@ -465,9 +469,9 @@ class TestDayBucketedCounts:
             ]
             corpus.extend(chunk)
             store.append_rows(chunk)
-        grouped = store.success_counts(by_day=True)
+        grouped = grouped_success_counts(store, by_day=True)
         assert grouped.as_dict() == reference_day_counts(corpus)
-        assert grouped.n_days == 9
+        assert grouped.extents["day"] == 9
 
 
 class TestStoreAdoption:
@@ -493,8 +497,8 @@ class TestStoreAdoption:
         assert store.adopt_segments_from(other) == len(other_rows)
         assert len(store) == len(own) + len(other_rows)
         assert store.rows() == own + other_rows
-        assert store.success_counts().as_dict() == reference_success_counts(own + other_rows)
-        assert store.distinct_ips() == len({m.client_ip for m in own + other_rows})
+        assert grouped_success_counts(store).as_dict() == reference_success_counts(own + other_rows)
+        assert distinct_ip_count(store) == len({m.client_ip for m in own + other_rows})
         # The source store is untouched and stays independently usable.
         assert other.rows() == other_rows
 
@@ -580,13 +584,13 @@ class TestDerivedCaches:
         store.append_rows(corpus)
         by_country = store.measurements_by_country()
         assert store.measurements_by_country() is by_country          # cache hit
-        assert store.success_counts() is store.success_counts()
-        ips_before = store.distinct_ips()
+        assert grouped_success_counts(store) is grouped_success_counts(store)
+        ips_before = distinct_ip_count(store)
         extra = self.make_corpus()[0]
         extra = Measurement(**{**extra.__dict__, "client_ip": "10.9.9.9",
                                "country_code": "IR", "measurement_id": "fresh"})
         store.append_rows([extra])                                     # invalidates
-        assert store.distinct_ips() == ips_before + 1
+        assert distinct_ip_count(store) == ips_before + 1
         assert store.measurements_by_country()["IR"] == 1
         assert store.measurements_by_country() is not by_country
 
@@ -679,9 +683,9 @@ class TestVectorizedDetectorMatchesSeed:
 
     def test_grouped_counts_dict_round_trip(self):
         counts = {("b.org", "US"): (10, 7), ("a.org", "CN"): (5, 1), ("a.org", "US"): (8, 8)}
-        grouped = GroupedCounts.from_dict(counts)
+        grouped = QueryResult.from_dict(counts)
         assert grouped.as_dict() == counts
-        assert [str(d) for d in grouped.domains] == ["a.org", "a.org", "b.org"]
+        assert [str(d) for d in grouped.key("domain")] == ["a.org", "a.org", "b.org"]
 
 
 def small_deployment(seed=11, visits=600, **config_kwargs):

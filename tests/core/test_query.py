@@ -4,13 +4,14 @@
 with one group-by engine; these tests pin the redesign's equivalence
 contract: every (keys, aggregates, mask, exclusions) combination must agree
 with ``run_query_reference`` — a per-row Python walk — on arbitrary corpora,
-with and without spilled segments and adopted (merged) stores, and the four
-legacy surfaces (``success_counts``, ``success_day_series``,
-``masked_success_counts``, ``distinct_ips``) must stay row-identical to
-their ``*_reference`` twins on the store.  The fold-once incremental
-watermark, the ``store.query_folds`` counter, the deprecation shims, and
-the :class:`TimingCusumDetector` vectorized ≡ scalar convention are pinned
-here too.
+with and without spilled segments and adopted (merged) stores, and so must
+the named wrappers (``grouped_success_counts``,
+``masked_grouped_success_counts``, ``distinct_ip_count``).  The dense day
+series is pinned through ``DenseResult.cell_series()`` ≡
+``QueryResult.cell_series()`` on the same stores.  The fold-once incremental
+watermark, the ``store.query_folds`` counter, and the
+:class:`TimingCusumDetector` vectorized ≡ scalar convention are pinned here
+too.
 """
 
 import json
@@ -25,13 +26,14 @@ from repro.censor.policy import PolicyEvent, PolicyTimeline
 from repro.core.collection import Measurement
 from repro.core.inference import CensorshipEvent, TimingCusumDetector
 from repro.core.query import (
+    DAY_SERIES_KEYS,
     Count,
     DistinctCount,
     Quantiles,
     Query,
+    QueryResult,
     SuccessCount,
     Sum,
-    TimingDaySeries,
     dense_day_series,
     distinct_ip_count,
     grouped_success_counts,
@@ -251,64 +253,130 @@ def _timing_corpus(n=48, seed=5):
 
 
 # ----------------------------------------------------------------------
-# Legacy surfaces pinned to their store reference twins
+# Named wrappers pinned to run_query_reference
 # ----------------------------------------------------------------------
-class TestLegacySurfacesPinned:
+COUNT_AGGREGATES = (Count(), SuccessCount())
+
+
+def store_variants(corpus, tmp):
+    """The same rows in a plain, a spilled and an adopted (merged) store."""
+    plain = build_store(corpus)
+    spilled = MeasurementStore(segment_rows=8, max_rows_in_memory=8, spill_dir=tmp)
+    spilled.append_rows(corpus)
+    spilled.spill()
+    split = len(corpus) // 2
+    adopted = build_store(corpus[:split])
+    other = MeasurementStore(segment_rows=8, spill_dir=tmp)
+    other.append_rows(corpus[split:])
+    other.spill()
+    adopted.adopt_segments_from(other)
+    return {"plain": plain, "spilled": spilled, "adopted": adopted}
+
+
+def assert_same_series(mine, theirs):
+    assert len(mine) == len(theirs)
+    for a, b in zip(mine, theirs):
+        assert a.dtype == b.dtype
+        assert a.shape == b.shape
+        assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+
+
+class TestNamedWrappersPinned:
     @given(corpus=corpora, exclude_automated=st.booleans(), by_day=st.booleans())
-    @settings(max_examples=60, deadline=None)
-    def test_success_counts_pinned(self, corpus, exclude_automated, by_day):
-        store = build_store(corpus)
-        assert (
-            grouped_success_counts(store, exclude_automated, by_day=by_day).as_dict()
-            == store.success_counts_reference(
-                exclude_automated, by_day=by_day
-            ).as_dict()
-        )
+    @settings(max_examples=40, deadline=None)
+    def test_grouped_success_counts_pinned(self, corpus, exclude_automated, by_day):
+        keys = DAY_SERIES_KEYS if by_day else ("domain", "country")
+        with tempfile.TemporaryDirectory() as tmp:
+            for store in store_variants(corpus, tmp).values():
+                assert (
+                    grouped_success_counts(store, exclude_automated, by_day=by_day).as_dict()
+                    == run_query_reference(
+                        store, keys, COUNT_AGGREGATES, exclude_automated=exclude_automated
+                    )
+                )
+
+    @given(corpus=corpora, exclude_automated=st.booleans(), by_day=st.booleans(),
+           mask_seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_masked_grouped_success_counts_pinned(
+        self, corpus, exclude_automated, by_day, mask_seed
+    ):
+        keys = DAY_SERIES_KEYS if by_day else ("domain", "country")
+        mask = np.random.default_rng(mask_seed).random(len(corpus)) < 0.5
+        with tempfile.TemporaryDirectory() as tmp:
+            for store in store_variants(corpus, tmp).values():
+                assert (
+                    masked_grouped_success_counts(
+                        store, mask, exclude_automated, by_day=by_day
+                    ).as_dict()
+                    == run_query_reference(
+                        store, keys, COUNT_AGGREGATES, mask=mask,
+                        exclude_automated=exclude_automated,
+                    )
+                )
+
+    @given(corpus=corpora)
+    @settings(max_examples=30, deadline=None)
+    def test_distinct_ip_count_pinned(self, corpus):
+        """Every row counts: no outcome or automation exclusions."""
+        with tempfile.TemporaryDirectory() as tmp:
+            for store in store_variants(corpus, tmp).values():
+                reference = run_query_reference(
+                    store, (), (DistinctCount("client_ip"),),
+                    exclude_automated=False, exclude_inconclusive=False,
+                )
+                expected = reference[()][0] if reference else 0
+                assert distinct_ip_count(store) == expected
+                assert expected == len({m.client_ip for m in corpus})
 
     @given(corpus=corpora, exclude_automated=st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_success_day_series_pinned(self, corpus, exclude_automated):
-        store = build_store(corpus)
-        dense = dense_day_series(store, exclude_automated)
-        reference = store.success_day_series_reference(exclude_automated)
-        assert dense.n_days == reference.n_days
-        assert np.array_equal(dense.domains, reference.domains)
-        assert np.array_equal(dense.countries, reference.countries)
-        assert np.array_equal(dense.totals, reference.totals)
-        assert np.array_equal(dense.successes, reference.successes)
+    def test_dense_cell_series_equals_cells_cell_series(self, corpus, exclude_automated):
+        with tempfile.TemporaryDirectory() as tmp:
+            for store in store_variants(corpus, tmp).values():
+                cells = grouped_success_counts(store, exclude_automated, by_day=True)
+                dense = dense_day_series(store, exclude_automated)
+                assert dense.extents["day"] == cells.extents["day"]
+                assert_same_series(dense.cell_series(), cells.cell_series())
 
-    @given(corpus=corpora, exclude_automated=st.booleans(), mask_seed=st.integers(0, 2**16))
-    @settings(max_examples=40, deadline=None)
-    def test_masked_success_counts_pinned(self, corpus, exclude_automated, mask_seed):
-        store = build_store(corpus)
-        mask = np.random.default_rng(mask_seed).random(len(store)) < 0.5
-        assert (
-            masked_grouped_success_counts(store, mask, exclude_automated).as_dict()
-            == store.masked_success_counts_reference(mask, exclude_automated).as_dict()
-        )
+    def test_wrappers_ride_the_fold_once_watermark(self):
+        """Sealed chunks: each segment folds once, results stay pinned."""
+        corpus = _timing_corpus(n=64)
+        store = MeasurementStore(segment_rows=8)
+        counter = get_registry().counter("store.query_folds")
+        for start in range(0, len(corpus), 20):
+            segments_before = len(store._segments)
+            store.append_rows(corpus[start:start + 20])
+            store.seal_pending()  # as the monitor loop does after each epoch
+            folds_before = counter.value
+            cells = grouped_success_counts(store, by_day=True)
+            dense = dense_day_series(store)
+            # Both ride one fold state: each new segment is folded once, by
+            # whichever wrapper ran first.
+            new_segments = len(store._segments) - segments_before
+            assert counter.value - folds_before == new_segments
+            assert all(
+                state.segments_folded == len(store._segments)
+                for state in store._query_states.values()
+            )
+            assert cells.as_dict() == run_query_reference(
+                store, DAY_SERIES_KEYS, COUNT_AGGREGATES
+            )
+            assert_same_series(dense.cell_series(), cells.cell_series())
 
-    @given(corpus=corpora)
-    @settings(max_examples=40, deadline=None)
-    def test_distinct_ips_pinned(self, corpus):
-        store = build_store(corpus)
-        assert distinct_ip_count(store) == store.distinct_ips_reference()
-
-    def test_deprecated_methods_warn_and_delegate(self):
+    def test_cell_series_needs_the_day_series_keys(self):
         store = build_store(_timing_corpus())
-        mask = np.ones(len(store), dtype=bool)
-        with pytest.warns(DeprecationWarning, match="success_counts"):
-            assert store.success_counts().as_dict() == (
-                grouped_success_counts(store).as_dict()
-            )
-        with pytest.warns(DeprecationWarning, match="success_day_series"):
-            series = store.success_day_series()
-        assert np.array_equal(series.totals, dense_day_series(store).totals)
-        with pytest.warns(DeprecationWarning, match="masked_success_counts"):
-            assert store.masked_success_counts(mask).as_dict() == (
-                masked_grouped_success_counts(store, mask).as_dict()
-            )
-        with pytest.warns(DeprecationWarning, match="distinct_ips"):
-            assert store.distinct_ips() == distinct_ip_count(store)
+        with pytest.raises(ValueError, match="cell_series"):
+            grouped_success_counts(store).cell_series()
+        with pytest.raises(ValueError, match="cell_series"):
+            store.query(keys=("country", "day"), shape="dense").cell_series()
+
+    def test_empty_store_series_are_empty(self):
+        store = MeasurementStore()
+        for result in (grouped_success_counts(store, by_day=True), dense_day_series(store)):
+            domains, countries, totals, successes = result.cell_series()
+            assert len(domains) == len(countries) == 0
+            assert totals.shape == successes.shape == (0, 0)
 
 
 # ----------------------------------------------------------------------
@@ -374,6 +442,22 @@ class TestFoldOnceAndTelemetry:
 # ----------------------------------------------------------------------
 # Timing day series + TimingCusumDetector: vectorized ≡ scalar reference
 # ----------------------------------------------------------------------
+def timing_cells(domains, countries, counts, values, quantile=0.9):
+    """Pair-day matrices as timing-query cells (pair-days without rows dropped)."""
+    groups = {
+        (str(domains[cell]), str(countries[cell]), day): (
+            int(counts[cell, day]), (float(values[cell, day]),)
+        )
+        for cell in range(len(domains))
+        for day in range(counts.shape[1])
+        if counts[cell, day]
+    }
+    return QueryResult.from_dict(
+        groups, DAY_SERIES_KEYS, (Count(), Quantiles("elapsed_ms", (quantile,))),
+        n_days=counts.shape[1],
+    )
+
+
 def random_timing_series(rng, cells=24, n_days=40, quantile=0.9):
     """Synthetic per-pair daily quantiles with seeded throttle regimes."""
     domains = np.asarray([f"domain-{c % 5}.org" for c in range(cells)])
@@ -387,10 +471,7 @@ def random_timing_series(rng, cells=24, n_days=40, quantile=0.9):
         change = int(rng.integers(6, n_days))
         recovery = int(rng.integers(change, n_days + 8))
         values[cell, change:recovery] *= float(rng.uniform(3.0, 7.0))
-    values[counts == 0] = np.nan
-    return TimingDaySeries(
-        domains, countries, counts, values, n_days, quantile
-    )
+    return timing_cells(domains, countries, counts, values, quantile)
 
 
 class TestTimingCusumEquivalence:
@@ -415,9 +496,9 @@ class TestTimingCusumEquivalence:
         assert fast  # the seeded slowdowns are large; silence would be a bug
 
     def test_empty_series_detects_nothing(self):
-        empty = TimingDaySeries(
+        empty = timing_cells(
             np.empty(0, dtype=np.str_), np.empty(0, dtype=np.str_),
-            np.zeros((0, 10), dtype=np.int64), np.full((0, 10), np.nan), 10, 0.9,
+            np.zeros((0, 10), dtype=np.int64), np.full((0, 10), np.nan),
         )
         detector = TimingCusumDetector()
         assert detector.detect_events(empty) == []
@@ -429,9 +510,7 @@ class TestTimingCusumEquivalence:
         counts = np.full((1, n_days), 30, dtype=np.int64)
         counts[0, :5] = 1  # below min_daily_measurements while training
         values = np.full((1, n_days), 5000.0)
-        series = TimingDaySeries(
-            np.asarray(["x.org"]), np.asarray(["DE"]), counts, values, n_days, 0.9
-        )
+        series = timing_cells(np.asarray(["x.org"]), np.asarray(["DE"]), counts, values)
         detector = TimingCusumDetector(min_daily_measurements=5, baseline_days=5)
         assert detector.detect_events(series) == []
         assert detector.detect_events_reference(series) == []
@@ -460,19 +539,18 @@ class TestTimingCusumEquivalence:
             store, ("domain", "country", "day"),
             (Count(), Quantiles("elapsed_ms", (quantile,))),
         )
+        domains, countries, counts, values = series.cell_series()
         ragged = {}
-        for pair in range(len(series)):
-            for day in range(series.n_days):
-                if series.counts[pair, day]:
-                    ragged[
-                        (str(series.domains[pair]), str(series.countries[pair]), day)
-                    ] = (
-                        int(series.counts[pair, day]),
-                        (float(series.values[pair, day]),),
+        for pair in range(len(domains)):
+            for day in range(counts.shape[1]):
+                if counts[pair, day]:
+                    ragged[(str(domains[pair]), str(countries[pair]), day)] = (
+                        int(counts[pair, day]),
+                        (float(values[pair, day]),),
                     )
         assert ragged == expected
         # NaN exactly where a pair-day has no filtered measurements.
-        assert np.array_equal(np.isnan(series.values), series.counts == 0)
+        assert np.array_equal(np.isnan(values), counts == 0)
 
 
 # ----------------------------------------------------------------------
